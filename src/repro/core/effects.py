@@ -34,7 +34,7 @@ class Effect:
 
 @dataclass(frozen=True)
 class SendDatagram(Effect):
-    """One protocol message to one site (retries reuse the dedup key)."""
+    """One protocol message to one site."""
 
     dst: str
     message: Any

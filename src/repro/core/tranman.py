@@ -2,9 +2,11 @@
 
 "The transaction manager is essentially a protocol processor; most calls
 from applications or servers invoke one protocol or another" (paper §3).
-This module hosts the sans-IO state machines of
-:mod:`repro.core.twophase`, :mod:`repro.core.nonblocking` and
-:mod:`repro.core.abortproto` on the simulated substrate:
+The processor's decisions — routing, the stateless protocol edge,
+takeovers, tombstones, completion bookkeeping — live in
+:class:`repro.core.host.ProtocolHost`, shared with the live site host.
+This module is the executor the paper puts costs on, over the simulated
+substrate:
 
 - a request port drained by a **C-Threads-style pool** (size is the
   experimental parameter of Figures 4-5); every thread waits for any
@@ -12,87 +14,42 @@ This module hosts the sans-IO state machines of
   processes it, and resumes waiting (paper §3.4);
 - the **family descriptor hash table**, each family protected by its own
   lock so only same-family operations contend;
-- an **effect executor** that maps machine effects onto the substrate:
-  datagrams (with piggybacked lazy sends), log forces through the disk
-  manager, local server prepare/commit/abort rounds, timers;
-- the **stateless protocol edge**: presumed-abort answers for forgotten
-  transactions, tombstones (change 4: never report "no state" for a
-  transaction that decided), durable abort pledges, quorum helpers.
+- an **effect executor** that blocks its thread on every log force
+  through the disk manager and on the local servers' prepare round
+  trip, so a coordinator's prepare fan-out leaves only after its own
+  vote (``LocalPrepare`` blocks the rest of its effect batch);
+- local server IPC for prepare/commit/abort, and lazily queued
+  (piggybacked) datagrams flushed by a periodic sweep.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Generator,
     List,
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from repro.config import CostModel
 from repro.core.abortproto import AbortInitiator, AbortParticipant
 from repro.core.effects import (
-    CancelTimer,
-    Complete,
     Effect,
     ForceLog,
-    Forget,
-    LazySendDatagram,
-    LocalAbort,
-    LocalCommit,
     LocalPrepare,
-    MulticastDatagram,
-    SendDatagram,
     StartTakeover,
-    StartTimer,
-    Trace,
-    WriteLog,
 )
 from repro.core.family import FamilyTable
-from repro.core.messages import (
-    AbortNotice,
-    CommitAck,
-    CommitNotice,
-    FamilyAbort,
-    FamilyAbortAck,
-    InquiryResponse,
-    NbAbortJoin,
-    NbAbortJoinAck,
-    NbOutcome,
-    NbOutcomeAck,
-    NbPrepare,
-    NbReplicate,
-    NbReplicateAck,
-    NbStateReport,
-    NbStateRequest,
-    NbVote,
-    NestedCommit,
-    PcOutcome,
-    PcOutcomeAck,
-    PcP1a,
-    PcP1b,
-    PcP2a,
-    PcPhase2b,
-    PcPrepare,
-    PcVote,
-    PrepareRequest,
-    TxnInquiry,
-    VoteResponse,
-)
-from repro.core.nonblocking import NbCoordinator, NbSubordinate, NbTakeover
-from repro.core.paxoscommit import PcCandidate, PcLeader, PcParticipant
+from repro.core.host import ProtocolHost, Step
+from repro.core.messages import NestedCommit
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
-from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID, TidGenerator
-from repro.core.twophase import TwoPhaseCoordinator, TwoPhaseSubordinate
-from repro.log.records import abort_pledge_record
+from repro.core.twophase import TwoPhaseSubordinate
+from repro.log.records import LogRecord
 from repro.mach.ipc import IpcFabric
 from repro.mach.message import Message
 from repro.mach.site import Site
@@ -100,7 +57,7 @@ from repro.mach.threads import CThreadsPool
 from repro.net.datagram import Datagram, DatagramService
 from repro.servers.diskman import DiskManager
 from repro.sim.events import SimEvent, all_of
-from repro.sim.kernel import Kernel, Timer
+from repro.sim.kernel import Kernel
 from repro.sim.process import Sleep, Wait
 from repro.sim.resources import SimLock
 from repro.sim.tracing import Tracer
@@ -108,13 +65,19 @@ from repro.sim.tracing import Tracer
 PIGGYBACK_SWEEP_MS = 50.0
 
 
-class TransactionManager:
+class TransactionManager(ProtocolHost):
     """One site's TranMan."""
 
     def __init__(self, kernel: Kernel, site: Site, fabric: IpcFabric,
                  dgram: DatagramService, diskman: DiskManager,
                  cost: CostModel, tracer: Tracer,
                  threads: int = 20, use_multicast: bool = False):
+        # Completed-transaction bookkeeping outlives the protocol's
+        # retry horizon: orphan timeout + protocol timeout is ~15x the
+        # datagram retry window.
+        super().__init__(site.name, cost.protocol_timeout,
+                         cost.orphan_timeout + cost.protocol_timeout,
+                         use_multicast=use_multicast)
         self.kernel = kernel
         self.site = site
         self.fabric = fabric
@@ -122,32 +85,11 @@ class TransactionManager:
         self.diskman = diskman
         self.cost = cost
         self.tracer = tracer
-        self.use_multicast = use_multicast
 
         self.families = FamilyTable()
         self.family_locks: Dict[str, SimLock] = {}
         self.tid_gen = TidGenerator(site.name)
-        self.machines: Dict[TID, Any] = {}
-        # Termination-protocol machines: NbTakeover or PcCandidate.
-        self.takeovers: Dict[TID, Any] = {}
-        self.tombstones: Dict[str, Outcome] = {}
-        self.pledges: Set[str] = set()
-        # TIDs this site answered READ_ONLY for: a retried prepare must
-        # re-vote read-only, not NO (the machine is long forgotten).
-        self.read_only_votes: Set[str] = set()
-        # Completed-transaction bookkeeping (tombstones, pledges,
-        # read-only votes) answers late inquiries, so entries must
-        # outlive the protocol's retry horizon — but not the run: kept
-        # forever, a million-transaction run leaks one entry per
-        # transaction.  The retire log expires them once no straggler
-        # can still ask (orphan timeout + protocol timeout is ~15x the
-        # datagram retry window).
-        self.tombstone_retention_ms = (cost.orphan_timeout
-                                       + cost.protocol_timeout)
-        self._retire_log: Deque[Tuple[float, str]] = deque()
         self._pending_calls: Dict[TID, Message] = {}
-        self._timers: Dict[tuple, Timer] = {}
-        self._lazy: Dict[str, List[Any]] = {}
         self._abort_participant = AbortParticipant(site.name)
         # Local data servers by name; filled in by system assembly.
         self.servers: Dict[str, Any] = {}
@@ -167,6 +109,46 @@ class TransactionManager:
         self._orphan_reaper = site.spawn(self._orphan_sweep(),
                                          "tranman.orphans")
         site.on_crash.append(self._on_site_crash)
+
+    # ------------------------------------------------ substrate primitives
+
+    def _now(self) -> float:
+        return self.kernel.now
+
+    def _send(self, dst: str, message: Any) -> None:
+        self.dgram.send(dst, message)
+
+    def _trace(self, kind: str, **detail: Any) -> None:
+        self.tracer.record(self.kernel.now, kind, site=self.site.name,
+                           **detail)
+
+    _count = _trace
+
+    def _multicast(self, dsts: List[str], message: Any) -> None:
+        self.dgram.multicast(dsts, message)
+
+    def _append(self, record: LogRecord) -> int:
+        lsn = self.diskman.append(record).lsn
+        assert lsn is not None
+        return lsn
+
+    def _watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
+        self.diskman.watch_durable(lsn, fn)
+
+    def _schedule(self, delay_ms: float, fn: Callable[[], None]) -> Any:
+        return self.kernel.schedule(delay_ms, fn)
+
+    def _cancel(self, handle: Any) -> None:
+        handle.cancel()
+
+    def _soon(self, fn: Callable[[], None]) -> None:
+        self.kernel.post_soon(fn)
+
+    def _input(self, machine: Any, name: str,
+               step: Callable[[], Sequence[Effect]]) -> None:
+        more = step()
+        if more:
+            self.site.spawn(self._execute(machine, more), f"tranman.{name}")
 
     # ------------------------------------------------------------ wiring
 
@@ -232,20 +214,6 @@ class TransactionManager:
                 self.families.forget_family(family_name)
                 self.family_locks.pop(family_name, None)
                 self.tid_gen.forget_family(family_name)
-
-    def _touch(self, tid: TID) -> None:
-        desc = self.families.descriptor(tid)
-        if desc is not None:
-            desc.last_activity = self.kernel.now
-
-    def _flush_lazy(self, dst: str) -> None:
-        queued = self._lazy.pop(dst, None)
-        if not queued:
-            return
-        for message in queued:
-            self.tracer.record(self.kernel.now, "tranman.piggyback",
-                               site=self.site.name, dst=dst)
-            self.dgram.send(dst, message)
 
     # --------------------------------------------------------- dispatch
 
@@ -370,53 +338,15 @@ class TransactionManager:
         protocol = ProtocolKind(msg.body.get("protocol", desc.protocol.value))
         variant = TwoPhaseVariant(msg.body.get(
             "variant", TwoPhaseVariant.OPTIMIZED.value))
-        fam = self.families.family_of(tid)
-        subordinates = sorted(s for s in fam.all_sites()
-                              if s != self.site.name)
+        sites = self.families.family_of(tid).all_sites()
         self._pending_calls[tid] = msg
-        if protocol is ProtocolKind.NON_BLOCKING:
-            policy = msg.body.get("quorum_policy", "majority")
-            n_sites = len(subordinates) + 1
-            if policy == "commit_weighted":
-                quorum = QuorumSpec.commit_weighted(n_sites)
-            elif policy == "majority":
-                quorum = QuorumSpec.majority(n_sites)
-            else:
-                raise ValueError(f"unknown quorum policy {policy!r}")
-            machine: Any = NbCoordinator(
-                tid, self.site.name, subordinates, quorum=quorum,
-                use_multicast=self.use_multicast,
-                vote_timeout_ms=self.cost.protocol_timeout,
-                repl_timeout_ms=self.cost.protocol_timeout,
-                notify_timeout_ms=self.cost.protocol_timeout,
-                # A takeover may have extracted our abort pledge while
-                # the family sat idle here; the coordinator must then
-                # refuse to drive a commit (see on_local_prepared).
-                already_pledged=str(tid) in self.pledges)
-        elif protocol is ProtocolKind.PAXOS_COMMIT:
-            # Acceptors are the leader-first odd prefix of the site list
-            # (N = 2F+1): two sites degenerate to F=0 (leader is the
-            # sole acceptor, 2PC's exact cost profile), three sites give
-            # F=1, and so on.
-            all_sites = [self.site.name] + subordinates
-            n_acceptors = (len(all_sites) if len(all_sites) % 2
-                           else len(all_sites) - 1)
-            machine = PcLeader(
-                tid, self.site.name, subordinates,
-                acceptors=all_sites[:n_acceptors],
-                quorum=QuorumSpec.paxos(n_acceptors),
-                vote_timeout_ms=self.cost.protocol_timeout,
-                notify_timeout_ms=self.cost.protocol_timeout)
-        else:
-            machine = TwoPhaseCoordinator(
-                tid, self.site.name, subordinates, variant=variant,
-                use_multicast=self.use_multicast,
-                vote_timeout_ms=self.cost.protocol_timeout,
-                ack_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = machine
+        machine = self._coordinate(
+            tid, protocol, sites, variant,
+            quorum_policy=msg.body.get("quorum_policy", "majority"))
         self.tracer.record(self.kernel.now, "tranman.commit_call",
                            site=self.site.name, tid=str(tid),
-                           protocol=protocol.value, subs=len(subordinates))
+                           protocol=protocol.value,
+                           subs=len(sites - {self.site.name}))
         yield from self._execute(machine, machine.start())
 
     def _commit_nested(self, tid: TID, msg: Message) -> None:
@@ -424,15 +354,8 @@ class TransactionManager:
         desc = self.families.descriptor(tid)
         desc.outcome = Outcome.COMMITTED
         self.stats["nested_committed"] += 1
-        fam = self.families.family_of(tid)
         # Local lock inheritance at every server the family touched.
-        for server_name in sorted(fam.all_servers()):
-            server = self.servers.get(server_name)
-            if server is None:
-                continue
-            inherit = Message(kind="commit_child", body={"tid": str(tid)})
-            self.fabric.send(server.port, inherit, flavour="oneway",
-                             sender_site=self.site.name)
+        self._tell_servers(tid, "commit_child")
         # Remote inheritance: one (lazy) datagram per involved site.
         for remote in sorted(desc.sites_used):
             self._queue_lazy(remote, NestedCommit(tid=tid, sender=self.site.name))
@@ -481,352 +404,41 @@ class TransactionManager:
 
     def _on_datagram(self, dgram: Datagram) -> Generator[Any, Any, None]:
         pmsg = dgram.payload
-        tid: TID = pmsg.tid
         self.tracer.record(self.kernel.now, "tranman.dgram_in",
                            site=self.site.name, kind_of=type(pmsg).__name__)
-        # Takeover-coordinated message types go to the takeover first.
-        takeover = self.takeovers.get(tid)
-        if takeover is not None and isinstance(
-                pmsg, (NbStateReport, NbReplicateAck, NbAbortJoinAck,
-                       NbOutcomeAck, PcP1b, PcOutcomeAck)):
-            yield from self._execute(takeover, takeover.on_message(pmsg))
-            return
-        machine = self.machines.get(tid)
-        if isinstance(pmsg, PcPhase2b) and pmsg.ballot != 0 \
-                and takeover is not None:
-            # Election-ballot 2bs belong to the candidate; ballot-0 2bs
-            # are the leader machine's prepare-round tally.
-            yield from self._execute(takeover, takeover.on_message(pmsg))
-            return
-        if isinstance(pmsg, (NbOutcome, PcOutcome)):
-            # Outcomes concern everyone at this site: participant machine,
-            # takeover, or neither (tombstone ack).
-            handled = False
-            if machine is not None:
-                yield from self._execute(machine, machine.on_message(pmsg))
-                handled = True
-            if takeover is not None:
-                yield from self._execute(takeover, takeover.on_message(pmsg))
-                handled = True
-            if not handled:
-                yield from self._stateless(pmsg)
-            return
-        if machine is not None:
-            yield from self._execute(machine, machine.on_message(pmsg))
-            return
-        yield from self._stateless(pmsg)
+        yield from self._run(self._route(pmsg))
 
-    def _stateless(self, pmsg: Any) -> Generator[Any, Any, None]:
-        """Protocol edge for transactions with no live machine here."""
-        tid: TID = pmsg.tid
-        tomb = self.tombstones.get(str(tid))
-        if isinstance(pmsg, PrepareRequest):
-            yield from self._stateless_prepare_2pc(pmsg, tomb)
-        elif isinstance(pmsg, NbPrepare):
-            yield from self._stateless_prepare_nb(pmsg, tomb)
-        elif isinstance(pmsg, CommitNotice):
-            if tomb is Outcome.COMMITTED:
-                self.dgram.send(pmsg.sender,
-                                CommitAck(tid=tid, sender=self.site.name))
-        elif isinstance(pmsg, AbortNotice):
-            pass  # nothing known, nothing to do (presumed abort)
-        elif isinstance(pmsg, TxnInquiry):
-            outcome = tomb if tomb is not None else Outcome.ABORTED
-            live = self.families.descriptor(tid)
-            if tomb is None and live is not None and live.active:
-                return  # still running; the inquirer should not exist yet
-            self.dgram.send(pmsg.sender,
-                            InquiryResponse(tid=tid, sender=self.site.name,
-                                            outcome=outcome))
-        elif isinstance(pmsg, NbReplicate):
-            yield from self._stateless_replicate(pmsg, tomb)
-        elif isinstance(pmsg, NbAbortJoin):
-            yield from self._stateless_abort_join(pmsg, tomb)
-        elif isinstance(pmsg, NbStateRequest):
-            self._stateless_state_request(pmsg, tomb)
-        elif isinstance(pmsg, NbOutcome):
-            if tomb is not None and tomb is not (
-                    Outcome.COMMITTED if pmsg.outcome is Outcome.COMMITTED
-                    else Outcome.ABORTED):
-                raise AssertionError(
-                    f"{tid}: outcome {pmsg.outcome} conflicts with tombstone "
-                    f"{tomb} at {self.site.name}")
-            self.dgram.send(pmsg.sender,
-                            NbOutcomeAck(tid=tid, sender=self.site.name))
-        elif isinstance(pmsg, PcPrepare):
-            yield from self._stateless_prepare_pc(pmsg, tomb)
-        elif isinstance(pmsg, (PcVote, PcP1a, PcP2a)):
-            yield from self._stateless_pc_acceptor(pmsg, tomb)
-        elif isinstance(pmsg, PcOutcome):
-            if tomb is not None and tomb is not pmsg.outcome:
-                raise AssertionError(
-                    f"{tid}: outcome {pmsg.outcome} conflicts with "
-                    f"tombstone {tomb} at {self.site.name}")
-            self.dgram.send(pmsg.sender,
-                            PcOutcomeAck(tid=tid, sender=self.site.name))
-        elif isinstance(pmsg, NestedCommit):
-            self._on_nested_commit(pmsg)
-        elif isinstance(pmsg, FamilyAbort):
-            yield from self._on_family_abort(pmsg)
-        elif isinstance(pmsg, (VoteResponse, NbVote, CommitAck,
-                               NbReplicateAck, NbAbortJoinAck, NbOutcomeAck,
-                               NbStateReport, FamilyAbortAck,
-                               InquiryResponse, PcPhase2b, PcP1b,
-                               PcOutcomeAck)):
-            pass  # stale response to a machine that already finished
-        else:
-            raise ValueError(f"unhandled datagram payload {pmsg!r}")
+    def _holds_family(self, tid: TID) -> bool:
+        return self.families.family_of(tid) is not None
 
-    def _stateless_prepare_2pc(self, pmsg: PrepareRequest,
-                               tomb: Optional[Outcome]
-                               ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            # We finished and the coordinator retried: it wants the ack.
-            self.dgram.send(pmsg.sender,
-                            CommitAck(tid=tid, sender=self.site.name))
-            return
-        if str(tid) in self.read_only_votes:
-            self.dgram.send(pmsg.sender,
-                            VoteResponse(tid=tid, sender=self.site.name,
-                                         vote=Vote.READ_ONLY))
-            return
-        if tomb is Outcome.ABORTED or self.families.family_of(tid) is None:
-            # Presumed abort: no family state means any pre-crash work is
-            # gone; we must refuse, never claim read-only.  (The family,
-            # not the top-level descriptor: a remote site often knows the
-            # transaction only through nested children that ran here.)
-            self.dgram.send(pmsg.sender,
-                            VoteResponse(tid=tid, sender=self.site.name,
-                                         vote=Vote.NO))
-            return
-        sub = TwoPhaseSubordinate(tid, self.site.name, pmsg.sender,
-                                  variant=pmsg.variant,
-                                  outcome_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = sub
-        yield from self._execute(sub, sub.start())
+    def _running(self, tid: TID) -> bool:
+        desc = self.families.descriptor(tid)
+        return desc is not None and desc.active
 
-    def _stateless_prepare_nb(self, pmsg: NbPrepare, tomb: Optional[Outcome]
-                              ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            self.dgram.send(pmsg.sender,
-                            NbOutcomeAck(tid=tid, sender=self.site.name))
-            return
-        if str(tid) in self.read_only_votes:
-            self.dgram.send(pmsg.sender,
-                            NbVote(tid=tid, sender=self.site.name,
-                                   vote=Vote.READ_ONLY))
-            return
-        pledged = str(tid) in self.pledges
-        if (tomb is Outcome.ABORTED
-                or (self.families.family_of(tid) is None and not pledged)):
-            self.dgram.send(pmsg.sender,
-                            NbVote(tid=tid, sender=self.site.name,
-                                   vote=Vote.NO))
-            return
-        sub = NbSubordinate(tid, self.site.name, pmsg.sender,
-                            list(pmsg.sites), pmsg.quorum,
-                            outcome_timeout_ms=self.cost.protocol_timeout,
-                            already_pledged=pledged)
-        self.machines[tid] = sub
-        yield from self._execute(sub, sub.start())
-
-    def _stateless_replicate(self, pmsg: NbReplicate, tomb: Optional[Outcome]
-                             ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if str(tid) in self.pledges or tomb is Outcome.ABORTED:
-            self.dgram.send(pmsg.sender,
-                            NbReplicateAck(tid=tid, sender=self.site.name,
-                                           ok=False))
-            return
-        if tomb is Outcome.COMMITTED:
-            self.dgram.send(pmsg.sender,
-                            NbReplicateAck(tid=tid, sender=self.site.name,
-                                           ok=True))
-            return
-        # Quorum helper: a read-only (or forgotten) site drafted into the
-        # commit quorum; the replicate message is self-contained.
-        helper = NbSubordinate.helper(tid, self.site.name, pmsg,
-                                      outcome_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = helper
-        yield from self._execute(helper, helper.on_message(pmsg))
-
-    def _stateless_abort_join(self, pmsg: NbAbortJoin, tomb: Optional[Outcome]
-                              ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            self.dgram.send(pmsg.sender,
-                            NbAbortJoinAck(tid=tid, sender=self.site.name,
-                                           ok=False))
-            return
-        if str(tid) in self.pledges or tomb is Outcome.ABORTED:
-            self.dgram.send(pmsg.sender,
-                            NbAbortJoinAck(tid=tid, sender=self.site.name,
-                                           ok=True))
-            return
-        # Durable pledge: force it, then acknowledge.
-        record = self.diskman.append(
-            abort_pledge_record(str(tid), self.site.name))
-        obs = self.tracer.obs
-        if obs is not None:
-            sid = obs.begin(self.kernel.now, "log.force",
-                            site=self.site.name, tid=str(tid),
-                            record_kind="abort_pledge")
-            yield from self.diskman.force(record.lsn)
-            obs.end(sid, self.kernel.now)
-        else:
-            yield from self.diskman.force(record.lsn)
-        self.pledges.add(str(tid))
-        self.note_retirable(str(tid))
-        self.tracer.record(self.kernel.now, "nb.stateless_pledge",
-                           site=self.site.name, tid=str(tid))
-        self.dgram.send(pmsg.sender,
-                        NbAbortJoinAck(tid=tid, sender=self.site.name,
-                                       ok=True))
-
-    def _stateless_state_request(self, pmsg: NbStateRequest,
-                                 tomb: Optional[Outcome]) -> None:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            status = "committed"
-        elif tomb is Outcome.ABORTED:
-            status = "aborted"
-        elif str(tid) in self.pledges:
-            status = "abort_pledged"
-        else:
-            status = "no_state"
-        self.dgram.send(pmsg.sender,
-                        NbStateReport(tid=tid, sender=self.site.name,
-                                      status=status, round=pmsg.round))
-
-    def _stateless_prepare_pc(self, pmsg: PcPrepare, tomb: Optional[Outcome]
-                              ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            # Already resolved here; the leader only wants the ack.
-            self.dgram.send(pmsg.sender,
-                            PcOutcomeAck(tid=tid, sender=self.site.name))
-            return
-        if str(tid) in self.read_only_votes:
-            # Re-vote read-only to the same targets the live machine
-            # would use: every acceptor (the instance still needs an
-            # acceptor quorum) plus the leader.
-            targets = [a for a in pmsg.acceptors if a != self.site.name]
-            if pmsg.sender not in targets:
-                targets.append(pmsg.sender)
-            for dst in targets:
-                self.dgram.send(dst, PcVote(
-                    tid=tid, sender=self.site.name, vote=Vote.READ_ONLY,
-                    leader=pmsg.sender, sites=pmsg.sites,
-                    acceptors=pmsg.acceptors))
-            return
-        if tomb is Outcome.ABORTED:
-            # Already decided abort here: tell the leader outright.
-            self.dgram.send(pmsg.sender,
-                            PcOutcome(tid=tid, sender=self.site.name,
-                                      outcome=Outcome.ABORTED))
-            return
-        if self.families.family_of(tid) is None:
-            # No state: we may have voted READ_ONLY (volatile) before a
-            # crash, and an RM must never propose two different ballot-0
-            # values — a NO here could diverge from an instance that
-            # already chose read-only.  Stay silent; the leader's
-            # timeout (F=0) or an election (F>=1) resolves the
-            # un-proposed instance to abort safely.
-            return
-        sub = PcParticipant(tid, self.site.name, pmsg.sender,
-                            list(pmsg.sites), list(pmsg.acceptors),
-                            QuorumSpec.paxos(len(pmsg.acceptors)),
-                            protocol_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = sub
-        yield from self._execute(sub, sub.start())
-
-    def _stateless_pc_acceptor(self, pmsg: Any, tomb: Optional[Outcome]
-                               ) -> Generator[Any, Any, None]:
-        """A Paxos message reached an acceptor site with no machine: a
-        crash-restarted (or long-forgotten read-only) acceptor.  Rebuild
-        an acceptor-only participant from the message's configuration —
-        every Pc message carries it — and deliver."""
-        tid = pmsg.tid
-        if tomb is not None:
-            # The outcome is known here: short-circuit the election.
-            self.dgram.send(pmsg.sender,
-                            PcOutcome(tid=tid, sender=self.site.name,
-                                      outcome=tomb))
-            return
-        if self.site.name not in pmsg.acceptors:
-            return  # stale / misrouted: we owe no acceptor duties
-        if self.families.family_of(pmsg.tid) is not None:
-            # Live family state means this site never crashed — the
-            # acceptor traffic merely overtook the leader's PcPrepare on
-            # the wire.  Spawn the full participant (it prepares and
-            # votes like the PcPrepare path would) and let it answer
-            # the acceptor duty that arrived early.
-            sub = PcParticipant(tid, self.site.name,
-                                pmsg.leader or pmsg.sender,
-                                list(pmsg.sites), list(pmsg.acceptors),
-                                QuorumSpec.paxos(len(pmsg.acceptors)),
-                                protocol_timeout_ms=self.cost.protocol_timeout)
-            self.machines[tid] = sub
-            yield from self._execute(sub, sub.start())
-            yield from self._execute(sub, sub.on_message(pmsg))
-            return
-        sub = PcParticipant.recovered(
-            tid, self.site.name, leader=pmsg.leader or pmsg.sender,
-            sites=list(pmsg.sites), acceptors=list(pmsg.acceptors),
-            prepared=False,
-            protocol_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = sub
-        self.tracer.record(self.kernel.now, "pc.acceptor_rebuilt",
-                           site=self.site.name, tid=str(tid),
-                           kind_of=type(pmsg).__name__)
-        yield from self._execute(sub, sub.on_message(pmsg))
-
-    def _on_nested_commit(self, pmsg: NestedCommit) -> None:
-        tid = pmsg.tid
-        fam = self.families.family_of(tid)
-        if fam is None:
-            return
-        for server_name in sorted(fam.all_servers()):
-            server = self.servers.get(server_name)
-            if server is None:
-                continue
-            inherit = Message(kind="commit_child", body={"tid": str(tid)})
-            self.fabric.send(server.port, inherit, flavour="oneway",
-                             sender_site=self.site.name)
-
-    def _on_family_abort(self, pmsg: FamilyAbort) -> Generator[Any, Any, None]:
+    def _family_message(self, pmsg: Any) -> List[Step]:
+        if isinstance(pmsg, NestedCommit):
+            self._tell_servers(pmsg.tid, "commit_child")
+            return []
         known = sorted(self.known_sites(pmsg.tid) - {self.site.name})
         effects = self._abort_participant.on_abort(pmsg, known)
-        yield from self._execute(None, effects)
         desc = self.families.descriptor(pmsg.tid)
         if desc is not None:
             desc.outcome = Outcome.ABORTED
+        return [(None, lambda: effects)]
 
     # ----------------------------------------------- effect execution
+
+    def _run(self, steps: List[Step]) -> Generator[Any, Any, None]:
+        for machine, step in steps:
+            yield from self._execute(machine, step())
 
     def _execute(self, machine: Optional[Any],
                  effects: Sequence[Effect]) -> Generator[Any, Any, None]:
         """Run an effect batch; continuations recurse through here."""
         for effect in effects:
-            if isinstance(effect, SendDatagram):
-                self._flush_lazy(effect.dst)  # piggyback opportunity
-                self.tracer.record(self.kernel.now, "tranman.datagram",
-                                   site=self.site.name, dst=effect.dst,
-                                   kind_of=type(effect.message).__name__)
-                self.dgram.send(effect.dst, effect.message)
-            elif isinstance(effect, MulticastDatagram):
-                self.tracer.record(self.kernel.now, "tranman.multicast",
-                                   site=self.site.name,
-                                   fanout=len(effect.dsts),
-                                   kind_of=type(effect.message).__name__)
-                self.dgram.multicast(list(effect.dsts), effect.message)
-            elif isinstance(effect, LazySendDatagram):
-                self._queue_lazy(effect.dst, effect.message)
-            elif isinstance(effect, ForceLog):
+            if isinstance(effect, ForceLog):
                 record = self.diskman.append(effect.record)
-                self._note_membership(effect.record)
+                self._note_membership(machine, effect.record)
                 obs = self.tracer.obs
                 if obs is not None:
                     sid = obs.begin(self.kernel.now, "log.force",
@@ -839,37 +451,12 @@ class TransactionManager:
                     yield from self.diskman.force(record.lsn)
                 yield from self._continue(machine, "on_log_forced",
                                           effect.token)
-            elif isinstance(effect, WriteLog):
-                record = self.diskman.append(effect.record)
-                self._note_membership(effect.record)
-                if effect.token is not None:
-                    self.diskman.watch_durable(
-                        record.lsn,
-                        self._spawn_continuation(machine, "on_log_durable",
-                                                 effect.token))
             elif isinstance(effect, LocalPrepare):
                 yield from self._local_prepare(machine, effect)
-            elif isinstance(effect, LocalCommit):
-                self._local_commit(effect.tid)
-            elif isinstance(effect, LocalAbort):
-                self._local_abort(effect.tid)
-            elif isinstance(effect, Complete):
-                self._complete(effect)
-            elif isinstance(effect, Forget):
-                self._forget(machine, effect.tid)
-            elif isinstance(effect, StartTimer):
-                self._start_timer(machine, effect)
-            elif isinstance(effect, CancelTimer):
-                self._cancel_timer(machine, effect.token)
             elif isinstance(effect, StartTakeover):
-                yield from self._start_takeover(effect.tid)
-            elif isinstance(effect, Trace):
-                detail = {k: v for k, v in effect.detail.items()
-                          if k != "site"}
-                self.tracer.record(self.kernel.now, effect.kind,
-                                   site=self.site.name, **detail)
+                yield from self._run(self._start_takeover(effect.tid))
             else:
-                raise ValueError(f"unknown effect {effect!r}")
+                self._perform(machine, effect)
 
     def _continue(self, machine: Optional[Any], method: str,
                   *args: Any) -> Generator[Any, Any, None]:
@@ -878,39 +465,6 @@ class TransactionManager:
         more = getattr(machine, method)(*args)
         if more:
             yield from self._execute(machine, more)
-
-    def _spawn_continuation(self, machine: Optional[Any], method: str,
-                            *args: Any) -> Callable[[], None]:
-        def fire() -> None:
-            if machine is None:
-                return
-            more = getattr(machine, method)(*args)
-            if more:
-                self.site.spawn(self._execute(machine, more),
-                                f"tranman.cont.{method}")
-        return fire
-
-    def _note_membership(self, record: Any) -> None:
-        """Track quorum membership facts as their records are written."""
-        from repro.log.records import RecordKind
-
-        if record.kind is RecordKind.ABORT_PLEDGE:
-            self.pledges.add(record.tid)
-            self.note_retirable(record.tid)
-            tid = TID.parse(record.tid)
-            sub = self.machines.get(tid)
-            if isinstance(sub, NbSubordinate):
-                # A takeover's self-pledge must also bind the co-resident
-                # participant machine, or it could later accept a
-                # replicate and put this site in both quorums.
-                self.kernel.post_soon(sub.note_local_pledge)
-        elif record.kind is RecordKind.REPLICATION:
-            tid = TID.parse(record.tid)
-            sub = self.machines.get(tid)
-            if isinstance(sub, NbSubordinate):
-                # Keep a concurrently-running participant machine's view
-                # of our membership coherent with the takeover's action.
-                self.kernel.post_soon(sub.note_local_replication)
 
     # ------------------------------------------------- local participant
 
@@ -937,12 +491,7 @@ class TransactionManager:
                 results = yield from _wait_all(self.kernel, events)
                 votes.extend(results)
             combined = _combine_votes(votes)
-        if combined is Vote.READ_ONLY:
-            self.read_only_votes.add(str(tid))
-            self.note_retirable(str(tid))
-        self.tracer.record(self.kernel.now, "tranman.local_prepared",
-                           site=self.site.name, tid=str(tid),
-                           vote=combined.value)
+        self._prepared(tid, combined)
         yield from self._continue(machine, "on_local_prepared", combined)
 
     def _ask_server_vote(self, server: Any, tid: TID,
@@ -958,18 +507,13 @@ class TransactionManager:
 
     def _local_commit(self, tid: TID) -> None:
         """Event 11: tell joined servers to drop the family's locks."""
-        fam = self.families.family_of(tid)
-        if fam is None:
-            return
-        for name in sorted(fam.all_servers()):
-            server = self.servers.get(name)
-            if server is None:
-                continue
-            msg = Message(kind="drop_locks", body={"tid": str(tid)})
-            self.fabric.send(server.port, msg, flavour="oneway",
-                             sender_site=self.site.name)
+        self._tell_servers(tid, "drop_locks")
 
     def _local_abort(self, tid: TID) -> None:
+        self._tell_servers(tid, "abort")
+
+    def _tell_servers(self, tid: TID, kind: str) -> None:
+        """One-way ``kind`` message to every server the family joined."""
         fam = self.families.family_of(tid)
         if fam is None:
             return
@@ -977,86 +521,37 @@ class TransactionManager:
             server = self.servers.get(name)
             if server is None:
                 continue
-            msg = Message(kind="abort", body={"tid": str(tid)})
+            msg = Message(kind=kind, body={"tid": str(tid)})
             self.fabric.send(server.port, msg, flavour="oneway",
                              sender_site=self.site.name)
 
     # ------------------------------------------------------ completions
 
-    def note_retirable(self, tid_str: str) -> None:
-        """Schedule completed-transaction bookkeeping for expiry.
-
-        Called whenever a tombstone, abort pledge, or read-only vote is
-        recorded; prunes entries past the retention horizon as it goes
-        (amortized O(1) per completion), so these maps stay bounded by
-        the retention window's transaction count, not the run's.
-        """
-        log = self._retire_log
-        log.append((self.kernel.now, tid_str))
-        horizon = self.kernel.now - self.tombstone_retention_ms
-        while log and log[0][0] < horizon:
-            __, old = log.popleft()
-            self.tombstones.pop(old, None)
-            self.pledges.discard(old)
-            self.read_only_votes.discard(old)
-
-    def _complete(self, effect: Complete) -> None:
-        tid = effect.tid
-        self.tombstones[str(tid)] = effect.outcome
-        self.note_retirable(str(tid))
+    def _completed(self, tid: TID, outcome: Outcome) -> None:
         if tid.is_top_level:
-            if effect.outcome is Outcome.COMMITTED:
+            if outcome is Outcome.COMMITTED:
                 self.stats["committed"] += 1
             else:
                 self.stats["aborted"] += 1
         call = self._pending_calls.pop(tid, None)
-        self.tracer.record(self.kernel.now, "tranman.complete",
-                           site=self.site.name, tid=str(tid),
-                           outcome=effect.outcome.value)
         obs = self.tracer.obs
         if obs is not None:
             obs.instant(self.kernel.now, "tranman.complete",
                         site=self.site.name, tid=tid,
-                        outcome=effect.outcome.value)
+                        outcome=outcome.value)
         if call is not None:
             self.fabric.reply(call, call.reply(
-                "commit_ok" if effect.outcome is Outcome.COMMITTED
+                "commit_ok" if outcome is Outcome.COMMITTED
                 else "commit_aborted",
-                outcome=effect.outcome.value))
+                outcome=outcome.value))
 
-    def _forget(self, machine: Optional[Any], tid: TID) -> None:
-        outcome = getattr(machine, "outcome", None)
-        if outcome is not None:
-            self.tombstones[str(tid)] = outcome
-            self.note_retirable(str(tid))
-        current = self.machines.get(tid)
-        if current is machine:
-            del self.machines[tid]
-        if self.takeovers.get(tid) is machine:
-            del self.takeovers[tid]
-        for key in [k for k in self._timers if k[0] is machine]:
-            self._timers.pop(key).cancel()
+    def _release_family(self, tid: TID) -> None:
         # Family state goes when the top-level transaction resolves (and
         # no takeover for it is still notifying peers).
         if tid.is_top_level and tid not in self.takeovers:
             self.families.forget_family(tid.family)
             self.family_locks.pop(tid.family, None)
             self.tid_gen.forget_family(tid.family)
-
-    # ------------------------------------------------------------ timers
-
-    def _start_timer(self, machine: Optional[Any], effect: StartTimer) -> None:
-        key = (machine, effect.token)
-        existing = self._timers.pop(key, None)
-        if existing is not None:
-            existing.cancel()
-        self._timers[key] = self.kernel.schedule(
-            effect.delay_ms, self._fire_timer, machine, effect.token)
-
-    def _cancel_timer(self, machine: Optional[Any], token: str) -> None:
-        timer = self._timers.pop((machine, token), None)
-        if timer is not None:
-            timer.cancel()
 
     def _on_site_crash(self) -> None:
         """Volatile state dies with the site: timers, queues, machines."""
@@ -1067,56 +562,6 @@ class TransactionManager:
         self.machines.clear()
         self.takeovers.clear()
         self._pending_calls.clear()
-
-    def _fire_timer(self, machine: Optional[Any], token: str) -> None:
-        self._timers.pop((machine, token), None)
-        if not self.site.alive:
-            return
-        if machine is None or not self._machine_live(machine):
-            return
-        more = machine.on_timer(token)
-        if more:
-            self.site.spawn(self._execute(machine, more),
-                            f"tranman.timer.{token}")
-
-    def _machine_live(self, machine: Any) -> bool:
-        tid = getattr(machine, "tid", None)
-        if tid is None:
-            return False
-        return (self.machines.get(tid) is machine
-                or self.takeovers.get(tid) is machine)
-
-    # ---------------------------------------------------------- takeover
-
-    def _start_takeover(self, tid: TID) -> Generator[Any, Any, None]:
-        if tid in self.takeovers:
-            return
-        sub = self.machines.get(tid)
-        if isinstance(sub, (PcParticipant, PcLeader)):
-            # Paxos Commit termination: run the leader election.  The
-            # leader itself lands here too, when votes never arrive and
-            # unilateral abort would be unsafe (F >= 1).
-            candidate = PcCandidate(
-                tid, self.site.name, sub.sites, sub.acceptors, sub.quorum,
-                poll_timeout_ms=self.cost.protocol_timeout / 2,
-                notify_timeout_ms=self.cost.protocol_timeout)
-            self.takeovers[tid] = candidate
-            self.tracer.record(self.kernel.now, "tranman.takeover",
-                               site=self.site.name, tid=str(tid),
-                               status="paxos_election")
-            yield from self._execute(candidate, candidate.start())
-            return
-        if not isinstance(sub, NbSubordinate):
-            return
-        status, data = sub.status_report()
-        takeover = NbTakeover(tid, self.site.name, sub.sites, sub.quorum,
-                              own_status=status, own_decision_data=data,
-                              poll_timeout_ms=self.cost.protocol_timeout / 2,
-                              notify_timeout_ms=self.cost.protocol_timeout)
-        self.takeovers[tid] = takeover
-        self.tracer.record(self.kernel.now, "tranman.takeover",
-                           site=self.site.name, tid=str(tid), status=status)
-        yield from self._execute(takeover, takeover.start())
 
     def heuristic_resolve(self, tid: TID, outcome: Outcome) -> None:
         """Operator/program resolution of a blocked transaction (the LU
@@ -1132,23 +577,6 @@ class TransactionManager:
                 f"{tid}: no blocked two-phase subordinate at {self.site.name}")
         effects = machine.heuristic_resolve(outcome)
         self.site.spawn(self._execute(machine, effects), "tranman.heuristic")
-
-    def adopt_recovered_machine(self, machine: Any,
-                                resume_effects: Sequence[Effect]) -> None:
-        """Install a machine rebuilt by crash recovery and run its
-        resumption effects."""
-        if isinstance(machine, (NbTakeover, PcCandidate)):
-            self.takeovers[machine.tid] = machine
-        else:
-            self.machines[machine.tid] = machine
-        self.site.spawn(self._execute(machine, list(resume_effects)),
-                        "tranman.recovered")
-
-    def _queue_lazy(self, dst: str, message: Any) -> None:
-        if dst == self.site.name:
-            self.dgram.send(dst, message)
-            return
-        self._lazy.setdefault(dst, []).append(message)
 
 
 def _combine_votes(votes: List[Vote]) -> Vote:

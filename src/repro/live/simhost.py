@@ -138,6 +138,9 @@ class SimSubstrate(Substrate):
     def cancel_timer(self, handle: Any) -> None:
         handle.cancel()
 
+    def now(self) -> float:
+        return self.kernel.now
+
     def trace(self, kind: str, detail: Dict[str, Any]) -> None:
         self.traces.append((kind, detail))  # lint: bounded(scenario-scale run)
 

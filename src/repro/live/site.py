@@ -33,7 +33,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.config import CostModel
 from repro.core.outcomes import TwoPhaseVariant, Vote
 from repro.log.records import LogRecord
-from repro.servers.recovery import analyze
+from repro.servers.recovery import analyze, build_machines
 from repro.live.codec import (
     KIND_CONTROL,
     KIND_MESSAGE,
@@ -108,6 +108,8 @@ class LiveSubstrate(Substrate):
         self.site = site
         self.port_dir = port_dir
         self.wal = wal
+        # A non-empty WAL at open means this site is back from a crash.
+        self.recovered = bool(wal.recovered_records)
         self.host: Optional[SiteHost] = None
         self.transcript = Transcript()
         self.traces: List[Tuple[str, Dict[str, Any]]] = []
@@ -257,8 +259,15 @@ class LiveSubstrate(Substrate):
     def cancel_timer(self, handle: Any) -> None:
         handle.cancel()
 
+    def now(self) -> float:
+        return asyncio.get_running_loop().time() * 1000.0
+
     def trace(self, kind: str, detail: Dict[str, Any]) -> None:
         self.traces.append((kind, detail))  # lint: bounded(demo-scale run)
+
+    def holds_family(self, tid: Any) -> bool:
+        # Volatile family state does not survive a crash.
+        return not self.recovered
 
 
 class LiveSite:
@@ -286,7 +295,6 @@ class LiveSite:
                              hold_force_tokens=hold_force_tokens,
                              prepare_delay_ms=prepare_ms)
         self.substrate.host = self.host
-        self.recovered = False
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping = asyncio.Event()
@@ -296,11 +304,12 @@ class LiveSite:
     async def start(self) -> None:
         """Recover from the WAL, start serving, publish our port."""
         self.substrate.start()
-        records = self.wal.recovered_records
-        if records:
-            plan = analyze(self.site, records)
-            self.host.recover_from_plan(plan)
-            self.recovered = True
+        if self.recovered:
+            plan = analyze(self.site, self.wal.recovered_records)
+            self.host.adopt_recovery(
+                plan.tombstones, plan.pledges,
+                build_machines(plan, self.site,
+                               protocol_timeout_ms=self.cost.protocol_timeout))
         sock = bind_server_socket()
         self.port = sock.getsockname()[1]
         self._server = await asyncio.start_server(self._on_connection,
@@ -318,6 +327,11 @@ class LiveSite:
         clear_port_file(self.run_dir, self.site)
         self.wal.close()
         self._stopping.set()
+
+    @property
+    def recovered(self) -> bool:
+        """Whether this site came back from a crash (non-empty WAL)."""
+        return self.substrate.recovered
 
     async def serve_until_stopped(self) -> None:
         await self._stopping.wait()
@@ -411,8 +425,6 @@ class LiveSite:
                            for t, o in self.host.tombstones.items()},
             "held": list(self.host.held),
             "drops": self.substrate.drop_counts(),
-            "duplicates": self.host.duplicates,
             "recovered": self.recovered,
-            "conservative": self.host.conservative,
             "wal_durable": self.wal.durable_lsn,
         }

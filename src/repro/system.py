@@ -219,15 +219,10 @@ class CamelotSystem:
                 merged.update(plan.base_values.get(server_name, {}))
                 merged.update(plan.redo_values.get(server_name, {}))
                 server.load_state(merged)
-        runtime.tranman.tombstones.update(plan.tombstones)
-        runtime.tranman.pledges.update(plan.pledges)
-        # Adopted bookkeeping joins the retire log so recovered state is
-        # pruned on the same retention horizon as live state.
-        for tid_str in set(plan.tombstones) | set(plan.pledges):
-            runtime.tranman.note_retirable(tid_str)
-        for machine, effects in build_machines(
-                plan, name, protocol_timeout_ms=self.cost.protocol_timeout):
-            runtime.tranman.adopt_recovered_machine(machine, effects)
+        runtime.tranman.adopt_recovery(
+            plan.tombstones, plan.pledges,
+            build_machines(plan, name,
+                           protocol_timeout_ms=self.cost.protocol_timeout))
         for tid_str, redo in plan.pending_redo.items():
             runtime.site.spawn(
                 self._pending_redo_watch(runtime, tid_str, redo),

@@ -11,6 +11,7 @@ make it meaningful: all three families actually appear on the wire, and
 the live run really did go through TCP and on-disk WALs."""
 
 import asyncio
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,16 @@ class TestSimDeterminism:
         s = conformance_scenario()
         assert run_sim_scenario(s).canonical_bytes() == \
             run_sim_scenario(s).canonical_bytes()
+
+    def test_sim_transcript_is_pinned(self):
+        """Both halves run the same host, so sim-vs-live equality cannot
+        see a change to it; this golden digest of the sim half can."""
+        transcript = run_sim_scenario(conformance_scenario())
+        data = transcript.canonical_bytes()
+        assert len(transcript.entries) == 39
+        assert len(data) == 4070
+        assert hashlib.sha256(data).hexdigest() == (
+            "f5ce0209e61cd63eb0bb39a26a95708c1c268db382dc84550a2d21ebea6d4050")
 
 
 class TestLiveSubstrateWasReal:
