@@ -10,8 +10,9 @@ logic:
 
 - :mod:`repro.live.codec` — versioned, length-prefixed, CRC-checked
   frames carrying :mod:`repro.core.messages` on the wire;
-- :mod:`repro.live.walfile` — an on-disk WAL whose ``force`` is a real
-  ``fsync``, readable by :func:`repro.servers.recovery.analyze`;
+- :mod:`repro.live.walfile` — the simulator's WAL contract over a
+  crc-framed file whose ``force`` is a real ``fsync``, readable by
+  :func:`repro.servers.recovery.analyze`;
 - :mod:`repro.live.host` — the substrate-agnostic effect interpreter
   shared by the simulated and the live harness;
 - :mod:`repro.live.site` — ``LiveSite``: one process hosting machines

@@ -82,8 +82,8 @@ def _diff_pairs(sim: Dict[str, List[Dict[str, Any]]],
     return out
 
 
-async def run_live_scenario(scenario: Scenario, run_dir: str,
-                            fsync: bool = True) -> ConformanceReport:
+async def run_live_scenario(scenario: Scenario,
+                            run_dir: str) -> ConformanceReport:
     """The live half: returns a report with ``sim_*`` fields empty."""
     os.makedirs(run_dir, exist_ok=True)
     sites: Dict[str, LiveSite] = {}
@@ -93,7 +93,7 @@ async def run_live_scenario(scenario: Scenario, run_dir: str,
             wire_ms=scenario.live_wire_ms,
             force_floor_ms=scenario.live_force_floor_ms,
             prepare_ms=scenario.live_prepare_ms,
-            votes=dict(scenario.votes), fsync=fsync)
+            votes=dict(scenario.votes))
     for site in sites.values():
         await site.start()
     loop = asyncio.get_running_loop()
@@ -127,15 +127,15 @@ async def run_live_scenario(scenario: Scenario, run_dir: str,
         sim_pairs={}, live_pairs=live_pairs, live_completions=completions)
 
 
-def run_conformance(run_dir: str, scenario: Optional[Scenario] = None,
-                    fsync: bool = True) -> ConformanceReport:
+def run_conformance(run_dir: str, scenario: Optional[Scenario] = None
+                    ) -> ConformanceReport:
     """Run both substrates over ``scenario`` and compare transcripts."""
     if scenario is None:
         scenario = conformance_scenario()
     sim_transcript = run_sim_scenario(scenario)
     sim_pairs = sim_transcript.pair_sequences()
     sim_bytes = sim_transcript.canonical_bytes()
-    live = asyncio.run(run_live_scenario(scenario, run_dir, fsync=fsync))
+    live = asyncio.run(run_live_scenario(scenario, run_dir))
     report = ConformanceReport(
         match=sim_bytes == live.live_bytes,
         sim_bytes=sim_bytes, live_bytes=live.live_bytes,

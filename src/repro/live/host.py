@@ -4,9 +4,10 @@
 every protocol decision — routing, the stateless edge, takeovers,
 tombstones, completion bookkeeping — is the TranMan's own, and this
 class keeps only how it waits.  Substrate IO goes through a small
-:class:`Substrate` interface (send a datagram, append/force the WAL,
-arm a timer).  The simulator harness (:mod:`repro.live.simhost`) plugs
-the deterministic kernel + token-ring LAN into it; the live harness
+:class:`Substrate` interface (send a datagram, complete a WAL force,
+arm a timer) over one :class:`~repro.log.wal.LogTail`.  The simulator
+harness (:mod:`repro.live.simhost`) plugs the deterministic kernel +
+token-ring LAN and an in-memory store into it; the live harness
 (:mod:`repro.live.site`) plugs asyncio TCP + an fsync-backed WAL file.
 
 Execution discipline (what makes transcripts comparable): each site
@@ -41,6 +42,7 @@ from repro.core.messages import FamilyAbort, FamilyAbortAck
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
 from repro.core.tid import TID, TidGenerator
 from repro.log.records import LogRecord
+from repro.log.wal import LogTail
 
 # Mirrors tranman.PIGGYBACK_SWEEP_MS: the cadence at which lazily queued
 # (piggybacked) datagrams and the lazy WAL tail get flushed.
@@ -54,24 +56,40 @@ _PROTOCOLS = {"2pc": ProtocolKind.TWO_PHASE,
 class Substrate:
     """What a harness must provide; see module docstring.
 
-    Timer handles are opaque; ``start_timer``/``schedule`` delays are in
-    protocol milliseconds (virtual for the simulator, real for live).
+    ``wal`` is the site's :class:`~repro.log.wal.LogTail`: appends,
+    durability watches and the lazy-tail force go straight to it, so a
+    substrate decides only *when* a force completes.  Timer handles are
+    opaque; ``start_timer``/``schedule`` delays are in protocol
+    milliseconds (virtual for the simulator, real for live).
     """
+
+    wal: LogTail
 
     def send(self, dst: str, message: Any) -> None:
         raise NotImplementedError
 
     def append(self, record: LogRecord) -> int:
-        raise NotImplementedError
+        self.wal.append(record)
+        return self.wal.last_lsn
 
     def force(self, lsn: int, done: Callable[[], None]) -> None:
+        """Make ``lsn`` durable, then :meth:`complete_force` with the
+        watches it satisfied and ``done``."""
         raise NotImplementedError
+
+    @staticmethod
+    def complete_force(ready: List[Callable[[], None]],
+                       done: Callable[[], None]) -> None:
+        for fn in ready:
+            fn()
+        done()
 
     def force_tail(self) -> None:
-        raise NotImplementedError
+        if self.wal.last_lsn > self.wal.durable_lsn:
+            self.force(self.wal.last_lsn, lambda: None)
 
     def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        raise NotImplementedError
+        self.wal.watch_durable(lsn, fn)
 
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any:
         raise NotImplementedError

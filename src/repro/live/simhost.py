@@ -2,8 +2,10 @@
 
 This is the conformance baseline.  The same effect interpreter that the
 live harness uses runs here over the deterministic discrete-event
-kernel, the token-ring :class:`repro.net.lan.Lan`, and an in-memory WAL
-whose forces complete after the modelled ``log_force`` latency.  A
+kernel, the token-ring :class:`repro.net.lan.Lan`, and the same WAL
+contract the live site uses — :class:`~repro.log.wal.LogTail` — over the
+simulator's in-memory :class:`~repro.log.storage.StableStore` instead of
+a file; a force completes after the modelled ``log_force`` latency.  A
 scenario executed here produces the reference transcript that the live
 loopback run must match byte for byte.
 
@@ -19,53 +21,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import CostModel
 from repro.core.outcomes import Vote
-from repro.log.records import LogRecord
+from repro.log.storage import StableStore
+from repro.log.wal import LogTail
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel, Timer
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import NullTracer
 from repro.live.host import SiteHost, Substrate
 from repro.live.scenario import Scenario, Transcript, run_scenario_steps
-
-
-class MemoryWal:
-    """The simulator-side WAL: FileWal's contract without the file."""
-
-    def __init__(self) -> None:
-        self.records: List[LogRecord] = []
-        self._next_lsn = 1
-        self._durable_lsn = 0
-        self._watches: List[Tuple[int, Callable[[], None]]] = []
-
-    @property
-    def durable_lsn(self) -> int:
-        return self._durable_lsn
-
-    @property
-    def last_lsn(self) -> int:
-        return self._next_lsn - 1
-
-    def append(self, record: LogRecord) -> LogRecord:
-        record.lsn = self._next_lsn
-        self._next_lsn += 1
-        self.records.append(record)  # lint: bounded(scenario-scale run)
-        return record
-
-    def force(self, lsn: Optional[int] = None) -> List[Callable[[], None]]:
-        target = self.last_lsn if lsn is None else lsn
-        if target > self._durable_lsn:
-            self._durable_lsn = target
-        ready = [fn for watch_lsn, fn in self._watches
-                 if watch_lsn <= self._durable_lsn]
-        self._watches = [(watch_lsn, fn) for watch_lsn, fn in self._watches
-                         if watch_lsn > self._durable_lsn]
-        return ready
-
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        if lsn <= self._durable_lsn:
-            fn()
-            return
-        self._watches.append((lsn, fn))
 
 
 class SimSubstrate(Substrate):
@@ -78,7 +41,7 @@ class SimSubstrate(Substrate):
         self.lan = lan
         self.cost = cost
         self.transcript = transcript
-        self.wal = MemoryWal()
+        self.wal = LogTail(StableStore(site))
         self.host: Optional[SiteHost] = None  # wired by build_sim_cluster
         self.peers: Dict[str, "SimSubstrate"] = {}
         self.traces: List[Tuple[str, Dict[str, Any]]] = []
@@ -104,31 +67,11 @@ class SimSubstrate(Substrate):
 
     # ------------------------------------------------------------ wal
 
-    def append(self, record: LogRecord) -> int:
-        lsn = self.wal.append(record).lsn
-        assert lsn is not None
-        return lsn
-
     def force(self, lsn: int, done: Callable[[], None]) -> None:
         self.kernel.post(self.cost.log_force, self._force_done, lsn, done)
 
     def _force_done(self, lsn: int, done: Callable[[], None]) -> None:
-        for fn in self.wal.force(lsn):
-            fn()
-        done()
-
-    def force_tail(self) -> None:
-        if self.wal.last_lsn <= self.wal.durable_lsn:
-            return
-        lsn = self.wal.last_lsn
-        self.kernel.post(self.cost.log_force, self._tail_done, lsn)
-
-    def _tail_done(self, lsn: int) -> None:
-        for fn in self.wal.force(lsn):
-            fn()
-
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        self.wal.watch_durable(lsn, fn)
+        self.complete_force(self.wal.force(lsn), done)
 
     # ---------------------------------------------------------- timers
 

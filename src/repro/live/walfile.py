@@ -1,29 +1,39 @@
-"""A real on-disk write-ahead log with the simulator WAL's semantics.
+"""The on-disk write-ahead log: :class:`~repro.log.wal.LogTail` over a file.
 
-Mirrors :class:`repro.log.wal.WriteAheadLog`'s contract — ``append``
-assigns an LSN to a volatile record, ``force(lsn)`` makes the prefix up
-to ``lsn`` durable, durability watches fire once their LSN is covered —
-but durability here is a genuine ``os.fsync`` on a file the
+:class:`FileStore` is the file backend of the one WAL contract.  It
+owns what only a real file has: the crc framing, the torn-tail scan at
+open and ``os.fsync``.  :class:`FileWal` is ``LogTail(FileStore(path))``,
+so LSNs, the volatile tail, prefix forces and durability watches are
+exactly the simulator's, and durability is a real ``fsync`` that the
 :mod:`repro.servers.recovery` discriminators can read back after
 ``kill -9``.
 
 File layout: a 5-byte header (magic ``RWAL`` + version) followed by
 records, each ``length(4) | crc32(4) | canonical-JSON(LogRecord.to_dict)``.
-Loading tolerates a torn tail — a crash mid-write leaves a partial or
-CRC-failing final record, which is exactly the not-yet-durable suffix
-the simulator's crash model also discards.  Opening for write truncates
-the file back to the valid prefix so new appends never follow garbage.
+Records carry LSNs 1..n in file order.  Opening tolerates a torn tail
+— a crash mid-write leaves a partial or CRC-failing final record, which
+is exactly the not-yet-durable suffix the simulator's crash model also
+discards — and truncates the file back to the valid prefix so new
+appends never follow garbage; ``truncated_bytes`` counts what that cut.
+Creating the file also fsyncs its directory, so a forced log cannot
+vanish with an unsynced directory entry after power loss.
+
+A failed write or fsync cuts the file back to its last durable byte and
+raises; the :class:`LogTail` above then refuses every later force, so
+nothing is ever built on a record whose force did not return.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
 import zlib
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.log.records import LogRecord
+from repro.log.wal import LogTail
 
 WAL_MAGIC = b"RWAL"
 WAL_VERSION = 1
@@ -66,100 +76,90 @@ def read_records(path: str) -> List[LogRecord]:
     return records
 
 
-class FileWal:
-    """One site's on-disk WAL.
+def _frame(record: LogRecord) -> bytes:
+    body = json.dumps(record.to_dict(), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    return _REC.pack(len(body), zlib.crc32(body)) + body
+
+
+def _fsync_directory(path: str) -> None:
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class FileStore:
+    """The WAL file: a :class:`~repro.log.wal.LogStore` that fsyncs.
 
     All methods are synchronous; the live substrate calls them from the
     event loop (record payloads are tiny, and force latency *is* the
-    durability cost the paper measures).  ``fsync=False`` trades real
-    durability for speed in harnesses that never crash-test.
+    durability cost the paper measures).
     """
 
-    def __init__(self, path: str, fsync: bool = True):
+    def __init__(self, path: str):
         self.path = path
-        self._fsync = fsync
-        existing = b""
         try:
             with open(path, "rb") as fh:
                 existing = fh.read()
+            created = False
         except FileNotFoundError:
-            pass
+            existing, created = b"", True
         records, valid = _scan(existing)
-        self._durable_count = len(records)
-        self._recovered = list(records)
-        self._file = open(path, "r+b" if existing else "w+b")
+        self._count = len(records)
+        self.truncated_bytes = len(existing) - valid
+        # Unbuffered: a failed write leaves nothing queued to land later.
+        self._file = open(path, "w+b" if created else "r+b", buffering=0)
         if valid < len(_HEADER):
             # Fresh file, or a header so mangled nothing was readable:
             # start over with a clean header.
             self._file.truncate(0)
-            self._file.seek(0)
-            self._file.write(_HEADER)
-            self._file.flush()
+            self._write(_HEADER)
             valid = len(_HEADER)
         self._file.truncate(valid)
         self._file.seek(valid)
-        # LSNs restart at the durable count: recovery only ever sees the
-        # durable prefix, so dense renumbering is invisible across runs.
-        for i, record in enumerate(self._recovered, start=1):
-            record.lsn = i
-        self._next_lsn = self._durable_count + 1
-        self._volatile: List[LogRecord] = []
-        self._durable_lsn = self._durable_count
-        self._watches: List[Tuple[int, Callable[[], None]]] = []
+        if created:
+            _fsync_directory(path)
 
-    # ------------------------------------------------------------ api
-
-    @property
-    def recovered_records(self) -> List[LogRecord]:
-        """The durable prefix found at open (input to recovery analysis)."""
-        return list(self._recovered)
-
-    @property
-    def durable_lsn(self) -> int:
-        return self._durable_lsn
-
-    @property
     def last_lsn(self) -> int:
-        return self._next_lsn - 1
+        return self._count
 
-    def append(self, record: LogRecord) -> LogRecord:
-        record.lsn = self._next_lsn
-        self._next_lsn += 1
-        self._volatile.append(record)
-        return record
+    def records(self) -> List[LogRecord]:
+        """The durable records, read back from the file."""
+        return read_records(self.path)
 
-    def force(self, lsn: Optional[int] = None) -> List[Callable[[], None]]:
-        """Make the prefix up to ``lsn`` (default: everything) durable.
+    def append_many(self, records: List[LogRecord]) -> None:
+        """Write ``records`` and fsync them; on any error cut the file
+        back to where it was and re-raise."""
+        end = self._file.tell()
+        try:
+            self._write(b"".join(_frame(record) for record in records))
+            os.fsync(self._file.fileno())
+        except BaseException:
+            with contextlib.suppress(OSError, ValueError):
+                self._file.truncate(end)
+                self._file.seek(end)
+            raise
+        self._count += len(records)
 
-        Returns the durability watches that became satisfied; the caller
-        fires them (after any completion pacing it applies).
-        """
-        target = self.last_lsn if lsn is None else lsn
-        wrote = False
-        while self._volatile and self._volatile[0].lsn is not None \
-                and self._volatile[0].lsn <= target:
-            record = self._volatile.pop(0)
-            body = json.dumps(record.to_dict(), sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-            self._file.write(_REC.pack(len(body), zlib.crc32(body)) + body)
-            self._durable_lsn = record.lsn
-            wrote = True
-        if wrote:
-            self._file.flush()
-            if self._fsync:
-                os.fsync(self._file.fileno())
-        ready = [fn for watch_lsn, fn in self._watches
-                 if watch_lsn <= self._durable_lsn]
-        self._watches = [(watch_lsn, fn) for watch_lsn, fn in self._watches
-                         if watch_lsn > self._durable_lsn]
-        return ready
-
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        """Run ``fn`` once ``lsn`` is durable (immediately if it already is)."""
-        if lsn <= self._durable_lsn:
-            fn()
-            return
-        self._watches.append((lsn, fn))
+    def _write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[self._file.write(view):]
 
     def close(self) -> None:
         self._file.close()
+
+
+class FileWal(LogTail):
+    """One site's on-disk WAL: a :class:`LogTail` over a :class:`FileStore`."""
+
+    store: FileStore
+
+    def __init__(self, path: str):
+        super().__init__(FileStore(path))
+        self.path = path
+
+    def close(self) -> None:
+        self.store.close()

@@ -9,8 +9,9 @@ provides:
 - :mod:`repro.log.storage` — crash-surviving stable storage;
 - :mod:`repro.log.disk` — the log device timing model (~15 ms per force,
   ~30 writes/s, the numbers the paper's Table 2 reports);
-- :mod:`repro.log.wal` — the write-ahead log proper: LSNs, lazy buffered
-  writes, synchronous forces;
+- :mod:`repro.log.wal` — the write-ahead log proper: :class:`LogTail`,
+  the one LSN/tail/force/watch contract (also under the live file WAL),
+  and :class:`WriteAheadLog`, that contract plus simulated disk time;
 - :mod:`repro.log.batcher` — group commit: folding many concurrent force
   requests into one disk write (the enabler for multithreaded TranMan
   throughput, paper §3.5 and Figure 4).
@@ -31,12 +32,13 @@ from repro.log.records import (
     update_record,
 )
 from repro.log.storage import StableStore
-from repro.log.wal import WriteAheadLog
+from repro.log.wal import LogTail, WriteAheadLog
 
 __all__ = [
     "DiskModel",
     "GroupCommitBatcher",
     "LogRecord",
+    "LogTail",
     "RecordKind",
     "StableStore",
     "WriteAheadLog",

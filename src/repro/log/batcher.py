@@ -64,8 +64,8 @@ class GroupCommitBatcher:
 
     def force(self, lsn: Optional[int] = None) -> Generator[Any, Any, None]:
         """Durably flush up to ``lsn``; batched when enabled."""
-        target = self.wal.tail_lsn if lsn is None else lsn
-        if target <= self.wal.flushed_lsn:
+        target = self.wal.last_lsn if lsn is None else lsn
+        if target <= self.wal.durable_lsn:
             return
         if not self.enabled:
             yield from self.wal.force(target)
@@ -75,7 +75,7 @@ class GroupCommitBatcher:
         # The round's write may have covered a shorter prefix than this
         # request needs if the WAL grew after the timer fired; rare, but
         # force semantics must hold unconditionally.
-        if target > self.wal.flushed_lsn:
+        if target > self.wal.durable_lsn:
             yield from self.wal.force(target)
 
     def _join_round(self, target: int) -> _Round:

@@ -22,6 +22,7 @@ paper's primitive costs already include this interaction), and it owns:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.config import CostModel
@@ -107,14 +108,10 @@ class DiskManager:
             yield from self.site.consume_cpu(self.cost.logger_service_cpu)
         yield from self.batcher.force(lsn)
 
-    def append_and_force(self, record: LogRecord) -> Generator[Any, Any, LogRecord]:
-        record = self.append(record)
-        yield from self.force(record.lsn)
-        return record
-
     def watch_durable(self, lsn: int, callback: Callable[[], None]) -> None:
-        """``callback()`` once the record at ``lsn`` is on stable storage."""
-        self.wal.add_durability_watch(lsn, callback)
+        """``callback()`` on the kernel turn after the record at ``lsn``
+        reaches stable storage (the next turn if it already has)."""
+        self.wal.watch_durable(lsn, partial(self.kernel.post_soon, callback))
 
     # ------------------------------------------------------ checkpoints
 
@@ -162,12 +159,12 @@ class DiskManager:
         try:
             while True:
                 yield Sleep(self.LAZY_FLUSH_POLL_MS)
-                if (self.wal.tail_lsn > self.wal.flushed_lsn
+                if (self.wal.last_lsn > self.wal.durable_lsn
                         and (self.kernel.now - self.wal.last_append_at)
                         >= self.LAZY_FLUSH_DEBOUNCE_MS):
                     self.tracer.record(self.kernel.now, "diskman.lazy_sweep",
                                        site=self.site.name)
-                    yield from self.wal.force(self.wal.tail_lsn)
+                    yield from self.wal.force(self.wal.last_lsn)
         except ProcessKilled:
             raise
 
@@ -202,7 +199,7 @@ class DiskManager:
                     entry = self._pages[key]
                     # The page may be re-dirtied while we wait for the
                     # log; loop until its records really are durable.
-                    while entry.rec_lsn > self.wal.flushed_lsn:
+                    while entry.rec_lsn > self.wal.durable_lsn:
                         yield from self.wal.force(entry.rec_lsn)
                     self._assert_wal_protocol(entry)
                     yield from self.data_disk.write(256)
@@ -213,10 +210,10 @@ class DiskManager:
             raise
 
     def _assert_wal_protocol(self, entry: _BufferedPage) -> None:
-        if entry.rec_lsn > self.wal.flushed_lsn:
+        if entry.rec_lsn > self.wal.durable_lsn:
             raise WalProtocolError(
                 f"page {entry.key} (rec_lsn={entry.rec_lsn}) would reach "
-                f"disk before the log (flushed={self.wal.flushed_lsn})")
+                f"disk before the log (durable={self.wal.durable_lsn})")
 
     # ------------------------------------------------------- statistics
 

@@ -253,7 +253,7 @@ def test_2pc_subordinate_crash_in_delayed_commit_window_recovers_commit():
     system.run_for(168.0)
     # Prove we are inside the window: prepare durable, commit buffered.
     wal = system.runtime("b").diskman.wal
-    durable = [r.kind.name for r in wal.durable_records()]
+    durable = [r.kind.name for r in wal.store.records()]
     assert "PREPARE" in durable and "COMMIT" not in durable
     assert "COMMIT" in [r.kind.name for r in wal.buffered_records()]
     system.failures.crash("b")

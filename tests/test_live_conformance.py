@@ -33,7 +33,7 @@ def report(tmp_path_factory):
     """One full conformance run shared by the assertions below (the live
     half costs a few wall-clock seconds)."""
     run_dir = tmp_path_factory.mktemp("conformance")
-    return run_conformance(str(run_dir), fsync=True)
+    return run_conformance(str(run_dir))
 
 
 class TestByteIdentical:

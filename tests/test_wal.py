@@ -68,7 +68,7 @@ def test_append_assigns_monotonic_lsns():
     r1 = wal.append(commit_record("T1@a", "a"))
     r2 = wal.append(commit_record("T2@a", "a"))
     assert (r1.lsn, r2.lsn) == (1, 2)
-    assert wal.tail_lsn == 2
+    assert wal.last_lsn == 2
 
 
 def test_append_is_volatile_until_forced():
@@ -147,7 +147,7 @@ def test_partial_force_leaves_later_records_buffered():
         yield from wal.force(1)
 
     run_proc(k, body())
-    assert wal.flushed_lsn == 1
+    assert wal.durable_lsn == 1
     assert len(wal.buffered_records()) == 1
 
 
@@ -164,14 +164,14 @@ def test_lsn_continuity_across_restart():
     wal2 = WriteAheadLog(k, rt_pc_profile(), disk, store, "a", Tracer())
     rec = wal2.append(commit_record("T2@a", "a"))
     assert rec.lsn == 2
-    assert wal2.flushed_lsn == 1
+    assert wal2.durable_lsn == 1
 
 
 def test_durability_watch_fires_after_flush():
     k, wal, disk, store = build_wal()
     rec = wal.append(commit_record("T1@a", "a"))
     fired = []
-    wal.add_durability_watch(rec.lsn, lambda: fired.append(k.now))
+    wal.watch_durable(rec.lsn, lambda: fired.append(k.now))
 
     def body():
         yield from wal.force(rec.lsn)
@@ -191,7 +191,7 @@ def test_durability_watch_immediate_when_already_durable():
 
     run_proc(k, body())
     fired = []
-    wal.add_durability_watch(rec.lsn, lambda: fired.append(True))
+    wal.watch_durable(rec.lsn, lambda: fired.append(True))
     k.run()
     assert fired == [True]
 
