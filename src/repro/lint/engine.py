@@ -11,17 +11,26 @@ runs it extracts, from the tree being linted,
   the "every referenced CostModel attribute is fingerprinted" rule
   checks the real cache, not a parallel reimplementation.
 
+Each parsed file is walked exactly once, here, into an index on its
+:class:`FileInfo` (every node in ``ast.walk`` order).  Rules and the
+flow engine read module-wide node sets, by type, and parent links from
+that index instead of re-walking the tree; only walks over a function
+or class subtree remain in the rules.
+
 Rules receive one :class:`LintContext` and return findings; the engine
 fills in default stable keys (the stripped source line) and applies the
-baseline.
+baseline.  A file that does not parse is itself a finding (rule
+``syntax``), never a silently clean file.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Type,
+                    TypeVar, cast)
 
 from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.findings import Finding, LintReport, source_line
@@ -40,21 +49,84 @@ SIM_SCOPED_DIRS = ("sim", "core", "net", "mach", "log", "servers", "chaos",
 SIM_SCOPED_FILES = ("system.py", "config.py")
 
 
+N = TypeVar("N", bound=ast.AST)
+
+# Rule id of the engine's own finding for a file that does not parse.
+SYNTAX_RULE = "syntax"
+
+
 @dataclass
 class FileInfo:
-    """One parsed source file plus the paths rules need."""
+    """One parsed source file, its AST index, and the paths rules need.
+
+    The index is read-only and derived from the one walk of ``tree``:
+
+    - ``nodes``: every node in ``ast.walk`` order (the shared
+      ``Load``/``Store``/operator singletons recur, as they do there);
+    - ``nodes_of(*types)``: the nodes of exactly those types, in that
+      same order;
+    - ``parents``: child -> parent (for a shared singleton, its last
+      parent in walk order).
+
+    Type buckets and the parent map are built on first use, once per
+    file, and only reference nodes; nothing is kept per subtree,
+    because a whole-tree lint holds every file's index at once.
+    A file that does not parse has ``tree is None``, ``syntax_error``
+    set, and an empty index.
+    """
 
     path: Path            # absolute
     rel: str              # display path (repo-relative when possible)
     sub: str              # path relative to the lint root (scoping key)
-    source: str = ""
     lines: List[str] = field(default_factory=list)
-    tree: Optional[ast.AST] = None
+    tree: Optional[ast.Module] = None
+    syntax_error: Optional[SyntaxError] = None
+    nodes: List[ast.AST] = field(default_factory=list, init=False,
+                                 repr=False)
+    _by_type: Dict[type, List[ast.AST]] = field(default_factory=dict,
+                                                init=False, repr=False)
 
     @property
     def sim_scoped(self) -> bool:
         first = self.sub.split("/", 1)[0]
         return first in SIM_SCOPED_DIRS or self.sub in SIM_SCOPED_FILES
+
+    def index(self, tree: ast.Module) -> None:
+        """Adopt ``tree`` and walk it once, breadth first: the list grows
+        while it is iterated, which is exactly ``ast.walk``'s order."""
+        self.tree = tree
+        nodes: List[ast.AST] = [tree]
+        for node in nodes:
+            nodes.extend(ast.iter_child_nodes(node))
+        self.nodes = nodes
+
+    @cached_property
+    def parents(self) -> Dict[ast.AST, ast.AST]:
+        """Child -> parent over ``nodes`` (no second tree walk)."""
+        parents: Dict[ast.AST, ast.AST] = {}
+        for node in self.nodes:
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+        return parents
+
+    def nodes_of(self, *types: Type[N]) -> List[N]:
+        """Nodes whose type is exactly one of ``types``, in walk order.
+
+        Pass concrete node classes (``ast.Call``), not abstract bases
+        (``ast.stmt``).  A single type is answered from its bucket; a
+        mix, asked once or twice per file, is one filter of ``nodes``.
+        Do not mutate the returned list.
+        """
+        if len(types) != 1:
+            wanted = set(types)
+            return cast(List[N], [n for n in self.nodes
+                                  if type(n) in wanted])
+        bucket = self._by_type.get(types[0])
+        if bucket is None:
+            only = types[0]
+            bucket = [n for n in self.nodes if type(n) is only]
+            self._by_type[only] = bucket
+        return cast(List[N], bucket)
 
 
 @dataclass
@@ -70,6 +142,9 @@ class LintContext:
     costmodel_fields: Set[str] = field(default_factory=set)
     costmodel_methods: Set[str] = field(default_factory=set)
     fingerprint_covered: Optional[Set[str]] = None
+    # Why the live fingerprint could not be read (reported by the
+    # costmodel-attrs rule, so a broken cache never disables its check).
+    fingerprint_error: Optional[str] = None
     # Cached whole-program model (built on demand by the flow rules via
     # :func:`repro.lint.flow.flow_program`; typed loosely to keep the
     # engine import-independent of the flow package).
@@ -109,11 +184,15 @@ def collect_files(root: Path) -> List[FileInfo]:
         sub = path.relative_to(root).as_posix()
         info = FileInfo(path=path, rel=_display_rel(path, sub), sub=sub)
         try:
-            info.source = path.read_text()
-            info.tree = ast.parse(info.source, filename=str(path))
-            info.lines = info.source.splitlines()
-        except (OSError, SyntaxError):
-            info.tree = None
+            source = path.read_text()
+        except OSError:
+            infos.append(info)
+            continue
+        info.lines = source.splitlines()
+        try:
+            info.index(ast.parse(source, filename=str(path)))
+        except SyntaxError as exc:
+            info.syntax_error = exc
         infos.append(info)
     return infos
 
@@ -142,10 +221,10 @@ def _message_facts(ctx: LintContext) -> None:
                 ctx.any_message_names = {
                     e.id for e in node.value.elts if isinstance(e, ast.Name)}
     for f in ctx.files:
-        if not f.sub.startswith("core/") or f.tree is None:
+        if not f.sub.startswith("core/"):
             continue
-        for node in ast.walk(f.tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        for node in f.nodes_of(ast.Call):
+            if (isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance" and len(node.args) == 2):
                 target = node.args[1]
                 names = ([target] if isinstance(target, ast.Name)
@@ -173,21 +252,25 @@ def _costmodel_facts(ctx: LintContext) -> None:
 
 def _fingerprint_facts(ctx: LintContext) -> None:
     """When linting the installed package, ask the *real* bench cache
-    which fields its fingerprint covers (no parallel reimplementation)."""
+    which fields its fingerprint covers (no parallel reimplementation).
+
+    Any failure of that cache code is recorded, not swallowed: the
+    costmodel-attrs rule turns it into a finding."""
+    import repro
+    live_root = Path(repro.__file__).resolve().parent
+    if ctx.root.resolve() != live_root:
+        return
     try:
-        import repro
-        live_root = Path(repro.__file__).resolve().parent
-        if ctx.root.resolve() != live_root:
-            return
         from repro.bench.cache import _canonical
         from repro.config import PROFILES
         covered: Set[str] = set()
         for factory in PROFILES.values():
             blob = _canonical(factory())
             covered |= set(blob.get("fields", {}).keys())
-        ctx.fingerprint_covered = covered
-    except Exception:
-        ctx.fingerprint_covered = None
+    except Exception as exc:  # any cache bug must surface as a finding
+        ctx.fingerprint_error = f"{type(exc).__name__}: {exc}"
+        return
+    ctx.fingerprint_covered = covered
 
 
 def build_context(root: Path) -> LintContext:
@@ -222,7 +305,17 @@ def run_lint(root: Optional[Path] = None,
             raise ValueError(f"unknown lint rule(s): {sorted(unknown)}")
         rules = {rid: rules[rid] for rid in rule_ids}
 
+    # A file that does not parse is reported whatever rules were asked
+    # for: none of them could check it.
     findings: List[Finding] = []
+    for unparsed in ctx.files:
+        err = unparsed.syntax_error
+        if err is not None:
+            findings.append(Finding(
+                rule=SYNTAX_RULE, file=unparsed.rel, line=err.lineno or 1,
+                column=max((err.offset or 1) - 1, 0),
+                message=f"file does not parse ({err.msg}); no rule can "
+                        f"check it"))
     for rid in sorted(rules):
         findings.extend(rules[rid](ctx))
     if extra_findings:
@@ -242,4 +335,4 @@ def run_lint(root: Optional[Path] = None,
     new, suppressed = apply_baseline(keyed, baseline)
     return LintReport(findings=new, baselined=suppressed,
                       checked_files=len(ctx.files),
-                      rules_run=sorted(rules))
+                      rules_run=sorted([*rules, SYNTAX_RULE]))

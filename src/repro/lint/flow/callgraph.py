@@ -249,7 +249,7 @@ class _Builder:
             if info.tree is None:
                 continue
             table = self.program.module_symbols.setdefault(info.sub, {})
-            for node in ast.walk(info.tree):
+            for node in info.nodes_of(ast.Import, ast.ImportFrom):
                 if isinstance(node, ast.Import):
                     for alias in node.names:
                         self._bind_import(table, info.sub, alias)

@@ -51,9 +51,9 @@ def _fenced_module(modpath: str) -> str:
 def run(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.files:
-        if info.sub.startswith(FENCED_PACKAGE) or info.tree is None:
+        if info.sub.startswith(FENCED_PACKAGE):
             continue
-        for node in ast.walk(info.tree):
+        for node in info.nodes_of(ast.Import, ast.ImportFrom, ast.Attribute):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = _fenced_module(alias.name)

@@ -558,14 +558,6 @@ def happy_path_counts(program: Program, coord_name: str, sub_name: str,
 # ------------------------------------------------------------ the checks
 
 
-def _parents(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
 def _use_kind(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> str:
     """Classify one ``Enum.MEMBER`` read: 'check' | 'enter' | 'both'."""
     cur: Optional[ast.AST] = node
@@ -589,16 +581,11 @@ def _member_uses(ctx: LintContext,
     """(enum, member) -> kinds of use anywhere in the tree."""
     uses: Dict[Tuple[str, str], Set[str]] = {}
     for info in ctx.files:
-        if info.tree is None:
-            continue
-        parents = _parents(info.tree)
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
+        for node in info.nodes_of(ast.Attribute):
             base = dotted_name(node.value)
             if base in enums and node.attr in enums[base]:
                 uses.setdefault((base, node.attr), set()).add(
-                    _use_kind(node, parents))
+                    _use_kind(node, info.parents))
     return uses
 
 

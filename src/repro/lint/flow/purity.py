@@ -116,9 +116,9 @@ def _check_imports(ctx: LintContext, program: Program,
     out: List[Finding] = []
     for sub in sorted(subs):
         info = ctx.file(sub)
-        if info is None or info.tree is None:
+        if info is None:
             continue
-        for node in ast.walk(info.tree):
+        for node in info.nodes_of(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 specs = [(alias.name, 0) for alias in node.names]
             elif isinstance(node, ast.ImportFrom):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union, cast
 
 from repro.lint.engine import FileInfo, LintContext
 from repro.lint.findings import Finding
@@ -21,19 +21,9 @@ from repro.lint.registry import rule
 # ------------------------------------------------------------- helpers
 
 
-def _walk_funcs(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            yield node
-
-
-def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
+def _funcs(info: FileInfo) -> List[ast.AST]:
+    """Every function and lambda in the file, in walk order."""
+    return info.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -73,11 +63,7 @@ _WALLCLOCK = {
 def check_wallclock(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in info.nodes_of(ast.Call):
             name = _dotted(node.func)
             if name in _WALLCLOCK:
                 out.append(ctx.finding(
@@ -102,11 +88,7 @@ _GLOBAL_RANDOM_FNS = {
 def check_unseeded_random(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in info.nodes_of(ast.Call):
             name = _dotted(node.func)
             if name is not None and name.startswith("random.") \
                     and name.split(".", 1)[1] in _GLOBAL_RANDOM_FNS:
@@ -141,12 +123,13 @@ def _set_annotated(ann: Optional[ast.AST]) -> bool:
         or "'FrozenSet'" in text
 
 
-def _set_typed_names(tree: ast.AST) -> Tuple[Set[str], Set[str]]:
+def _set_typed_names(info: FileInfo) -> Tuple[Set[str], Set[str]]:
     """(self attributes, plain names) annotated as sets anywhere in the
     file: ``self.x: Set[str] = ...`` and ``dsts: Set[str]`` params."""
     attrs: Set[str] = set()
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in info.nodes_of(ast.AnnAssign, ast.FunctionDef,
+                              ast.AsyncFunctionDef):
         if isinstance(node, ast.AnnAssign) and _set_annotated(node.annotation):
             if isinstance(node.target, ast.Attribute) \
                     and isinstance(node.target.value, ast.Name) \
@@ -198,10 +181,8 @@ def _unordered_iterable(node: ast.AST, set_attrs: Set[str],
 def check_unordered_iteration(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        set_attrs, set_names = _set_typed_names(info.tree)
-        for func in _walk_funcs(info.tree):
+        set_attrs, set_names = _set_typed_names(info)
+        for func in _funcs(info):
             calls_kernel = any(
                 isinstance(n, ast.Call)
                 and ((isinstance(n.func, ast.Attribute)
@@ -262,11 +243,21 @@ def _cost_typed_names(func: ast.AST) -> Set[str]:
       "Every CostModel attribute referenced anywhere must be a real "
       "dataclass field (covered by the cache fingerprint) or method.")
 def check_costmodel_attrs(ctx: LintContext) -> List[Finding]:
+    out: List[Finding] = []
+    if ctx.fingerprint_error is not None:
+        cache = ctx.file("bench/cache.py")
+        out.append(Finding(
+            rule="costmodel-attrs",
+            file=cache.rel if cache is not None else "bench/cache.py",
+            line=1,
+            message=(f"the bench cache cost-model fingerprint failed "
+                     f"({ctx.fingerprint_error}); fingerprint coverage of "
+                     f"CostModel fields could not be checked"),
+            key="fingerprint-error"))
     valid = ctx.costmodel_fields | ctx.costmodel_methods
     if not valid:
-        return []
+        return out
     covered = ctx.fingerprint_covered
-    out: List[Finding] = []
 
     def check_attr(info: FileInfo, node: ast.Attribute) -> None:
         attr = node.attr
@@ -287,10 +278,10 @@ def check_costmodel_attrs(ctx: LintContext) -> List[Finding]:
                 f"survive edits to it", key=f"uncovered:{attr}"))
 
     for info in ctx.files:
-        if info.tree is None or info.sub == "config.py":
+        if info.sub == "config.py":
             continue
         # (a) names bound to a CostModel inside each function
-        for func in _walk_funcs(info.tree):
+        for func in _funcs(info):
             names = _cost_typed_names(func)
             if not names:
                 continue
@@ -300,9 +291,8 @@ def check_costmodel_attrs(ctx: LintContext) -> List[Finding]:
                         and n.value.id in names:
                     check_attr(info, n)
         # (b) `<anything>.cost.<attr>` chains, the idiom substrates use
-        for n in ast.walk(info.tree):
-            if isinstance(n, ast.Attribute) \
-                    and isinstance(n.value, ast.Attribute) \
+        for n in info.nodes_of(ast.Attribute):
+            if isinstance(n.value, ast.Attribute) \
                     and n.value.attr == "cost":
                 check_attr(info, n)
     return out
@@ -348,9 +338,9 @@ def check_message_handlers(ctx: LintContext) -> List[Finding]:
 def check_lazy_log_force(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None or not info.sub.startswith("core/"):
+        if not info.sub.startswith("core/"):
             continue
-        for node in ast.walk(info.tree):
+        for node in info.nodes_of(ast.Call, ast.If):
             # ForceLog(abort_record(...)) — presumed abort violation.
             if isinstance(node, ast.Call) \
                     and _dotted(node.func) == "ForceLog" and node.args \
@@ -388,16 +378,12 @@ def check_lazy_log_force(ctx: LintContext) -> List[Finding]:
 def check_consumed_fire_and_forget(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        parents = _parent_map(info.tree)
-        for node in ast.walk(info.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
+        for node in info.nodes_of(ast.Call):
+            if not (isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("post", "post_soon")
                     and _is_kernel_attr(node.func.value)):
                 continue
-            parent = parents.get(node)
+            parent = info.parents.get(node)
             if not isinstance(parent, ast.Expr):
                 out.append(ctx.finding(
                     info, node, "consumed-fire-and-forget",
@@ -416,9 +402,7 @@ def check_consumed_fire_and_forget(ctx: LintContext) -> List[Finding]:
 def check_no_environ(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        for node in ast.walk(info.tree):
+        for node in info.nodes_of(ast.Attribute, ast.Call):
             name = None
             if isinstance(node, ast.Attribute):
                 name = _dotted(node)
@@ -555,11 +539,9 @@ def check_obs_readonly(ctx: LintContext) -> List[Finding]:
     for info in ctx.files:
         if not info.sub.startswith("obs/") or info.sub == "obs/__main__.py":
             continue
-        if info.tree is None:
-            continue
-        for func in ast.walk(info.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        defs = cast(List[Union[ast.FunctionDef, ast.AsyncFunctionDef]],
+                    info.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef))
+        for func in defs:
             tainted: Set[str] = set()
             for a in (*func.args.args, *func.args.posonlyargs,
                       *func.args.kwonlyargs):
@@ -720,11 +702,7 @@ def check_unbounded_growth(ctx: LintContext) -> List[Finding]:
     """
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        for cls in ast.walk(info.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
+        for cls in info.nodes_of(ast.ClassDef):
             containers = _container_attrs(cls)
             grows: Dict[str, ast.AST] = {}
             shrinks: Set[str] = set()

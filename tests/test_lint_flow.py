@@ -326,7 +326,7 @@ class TestBoundedAck:
 
 def test_live_tree_flow_rules_clean_within_budget():
     """All four whole-program analyses hold on the real tree, and the
-    full 15-rule run (flow included) fits the CI latency budget."""
+    full 16-rule run (flow included) fits the CI latency budget."""
     start = time.perf_counter()
     report = run_lint(baseline_path=None)
     elapsed = time.perf_counter() - start
